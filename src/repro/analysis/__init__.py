@@ -9,10 +9,9 @@ already rely on:
   ambient, so chaos/DES runs replay from a seed;
 * **async-safety** (``ASY*``) — nothing blocks the broker's event loop;
 * **typed errors** (``ERR*``) — broad catches carry a justification
-  pragma, and the wire ``ErrorCode`` enum stays exhaustive between
-  server and client;
-* **protocol drift** (``PRO*``) — client verbs, dispatch ladders, and
-  the declared op set never diverge.
+  pragma, and every wire ``ErrorCode`` is produced server-side;
+* **protocol** (``PRO*``) — federation sub-requests keep the client's
+  idempotency token.
 
 Pre-existing violations are grandfathered in ``lint-baseline.json``;
 anything new fails the gate (exit 1).  See ``docs/ANALYSIS.md``.

@@ -34,54 +34,29 @@ from typing import Any, Callable, Mapping
 
 from repro.broker.protocol import (
     FRAME_HEADER,
+    OP_TABLE,
     PROTOCOL_VERSION,
+    ErrorCode,
     encode_frame,
     encode_request,
     load_payload,
     request_obj,
 )
 
-#: operations the client retries on transport death without being told.
-#: ``status``/``shards``/``resolve``/``fleet_status`` are read-only;
-#: ``allocate`` is safe only because the typed helper always attaches a
-#: dedupe token (see :meth:`BrokerClient.call`).  ``fleet_plan`` is NOT
-#: retry-safe: a replayed pass would migrate the fleet twice.
+#: operations the client retries on transport death without being told
+#: (the table's retry-safe rows).  ``allocate`` is among them only because
+#: the typed helper always attaches a dedupe token (see
+#: :meth:`BrokerClient.call`).
 _RETRY_SAFE_OPS = frozenset(
-    {"allocate", "status", "shards", "resolve", "fleet_status"}
+    name for name, spec in OP_TABLE.items() if spec.retry_safe
 )
 
-#: every error code this client understands: the full server-side
-#: :class:`~repro.broker.protocol.ErrorCode` enum plus the two codes the
-#: client mints locally (``CONNECT``/``TIMEOUT`` — transport failures
-#: that never crossed the wire).  ``repro lint`` cross-checks this
-#: registry against the enum (rules ERR004/ERR005), so a code added to
-#: the protocol without teaching the client fails the build.
+#: every error code this client understands: the server-side
+#: :class:`~repro.broker.protocol.ErrorCode` values plus the two codes
+#: the client mints locally (transport failures that never crossed the
+#: wire).
 KNOWN_ERROR_CODES = frozenset(
-    {
-        # transport (client-side)
-        "CONNECT",
-        "TIMEOUT",
-        # request validation
-        "BAD_REQUEST",
-        "UNSUPPORTED_VERSION",
-        "UNKNOWN_OP",
-        # admission / placement
-        "BUSY",
-        "NO_CAPACITY",
-        "WAIT",
-        "MONITOR_STALE",
-        "SHARD_DOWN",
-        # lease lifecycle
-        "UNKNOWN_LEASE",
-        "EXPIRED_LEASE",
-        # reconfiguration
-        "NODE_CONFLICT",
-        "BAD_SWAP",
-        "STALE_PLAN",
-        "RECONFIG_FAILED",
-        # server bugs
-        "INTERNAL",
-    }
+    {code.value for code in ErrorCode} | {"CONNECT", "TIMEOUT"}
 )
 
 #: codes where retrying after a backoff can plausibly succeed

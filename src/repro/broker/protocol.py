@@ -20,16 +20,19 @@ Failures carry a structured error instead of a result:
 Everything here is transport-free: parsing, validation and encoding only.
 The daemon (:mod:`repro.broker.server`) and the client library
 (:mod:`repro.broker.client`) share this module, so a version or schema
-change happens in exactly one place.
+change happens in exactly one place.  Each verb is one row of
+:data:`OP_TABLE`: its params parser and whether it is a transport verb,
+retry-safe, or queued for micro-batching.  Adding a verb is one row
+plus the service method of the same name.
 
 Transport negotiation (still protocol v1, fully backward compatible): a
 connection starts in JSON-lines mode; a ``hello`` request may switch it
 to the length-prefixed ``binary`` codec (4-byte big-endian length +
 compact JSON payload — no newline scanning, cheap framing) and/or enable
 *pipelining* (many requests in flight per connection, responses matched
-by ``id`` and possibly out of order).  ``hello`` is a transport verb
-(:data:`TRANSPORT_OPS`): the daemon answers it itself and it never
-reaches :class:`~repro.broker.service.BrokerService`.  Clients that
+by ``id`` and possibly out of order).  ``hello`` is a transport verb:
+each transport answers it itself and it never reaches
+:class:`~repro.broker.service.BrokerService`.  Clients that
 never send ``hello`` see exactly the historical one-line-in,
 one-line-out protocol.
 """
@@ -41,7 +44,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 try:  # optional accelerator; the wire format gates on importability
     import msgpack as _msgpack  # type: ignore[import-not-found]
@@ -65,7 +68,7 @@ class ErrorCode(str, enum.Enum):
     BAD_REQUEST = "BAD_REQUEST"
     #: request ``v`` differs from :data:`PROTOCOL_VERSION`
     UNSUPPORTED_VERSION = "UNSUPPORTED_VERSION"
-    #: ``op`` is not one of allocate/renew/release/reconfigure/status
+    #: ``op`` is not in :data:`OP_TABLE`, or this daemon does not serve it
     UNKNOWN_OP = "UNKNOWN_OP"
     #: admission queue full — retry later (backpressure, not failure)
     BUSY = "BUSY"
@@ -103,31 +106,6 @@ class ProtocolError(Exception):
         self.code = code
         self.message = message
 
-
-#: Operations a client may request.
-OPS = ("allocate", "renew", "release", "reconfigure", "status")
-
-#: Transport-negotiation verbs — answered by the transport layer itself
-#: (the daemon or the chaos transport mirror), never dispatched to the
-#: service.  Kept out of :data:`OPS` so service-level surfaces (dispatch
-#: ladders, retry policy) are not forced to know about them.
-TRANSPORT_OPS = ("hello",)
-
-#: Router verbs spoken only by a federation daemon (``serve --shards N``).
-#: ``shards`` reports the router's per-subtree aggregates and scores;
-#: ``resolve`` maps a lease id to the shard that owns it.  Kept out of
-#: :data:`OPS` so a plain single-broker daemon (and the chaos transport
-#: mirror) is not forced to grow dead branches for them — the PRO lint
-#: family checks the federation ladders separately (PRO006/PRO007).
-FEDERATION_OPS = ("shards", "resolve")
-
-#: Fleet verbs — one coordinated malleability pass over every live
-#: lease (``fleet_plan``) and its counters (``fleet_status``).  Kept
-#: out of :data:`OPS` because, like the federation verbs, they are an
-#: opt-in control-plane surface: a client that never speaks them sees
-#: exactly the historical per-lease protocol.  The PRO lint family
-#: checks the fleet ladders separately (PRO009/PRO010).
-FLEET_OPS = ("fleet_plan", "fleet_status")
 
 #: Codecs a connection may negotiate via ``hello``.  ``json`` is the
 #: JSON-lines default; ``binary`` is length-prefixed compact JSON;
@@ -411,6 +389,111 @@ def _opt(obj: Mapping[str, Any], key: str, types: tuple, where: str) -> Any:
     return _require(obj, key, types, where)
 
 
+def _flag(obj: Mapping[str, Any], key: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ProtocolError(
+            ErrorCode.BAD_REQUEST,
+            f"params.{key} must be a boolean, got {value!r}",
+        )
+    return value
+
+
+def _parse_allocate(raw: Mapping[str, Any]) -> AllocateParams:
+    alpha = _opt(raw, "alpha", (int, float), "params")
+    priority = _opt(raw, "priority", (int, float), "params")
+    return AllocateParams(
+        n_processes=_require(raw, "n", (int,), "params"),
+        ppn=_opt(raw, "ppn", (int,), "params"),
+        alpha=0.3 if alpha is None else float(alpha),
+        policy=_opt(raw, "policy", (str,), "params"),
+        ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
+        token=_opt(raw, "token", (str,), "params"),
+        priority=0.0 if priority is None else float(priority),
+    )
+
+
+def _parse_renew(raw: Mapping[str, Any]) -> RenewParams:
+    return RenewParams(
+        lease_id=_require(raw, "lease_id", (str,), "params"),
+        ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
+    )
+
+
+def _parse_release(raw: Mapping[str, Any]) -> ReleaseParams:
+    return ReleaseParams(lease_id=_require(raw, "lease_id", (str,), "params"))
+
+
+def _parse_reconfigure(raw: Mapping[str, Any]) -> ReconfigureParams:
+    alpha = _opt(raw, "alpha", (int, float), "params")
+    return ReconfigureParams(
+        lease_id=_require(raw, "lease_id", (str,), "params"),
+        remaining_s=_opt(raw, "remaining_s", (int, float), "params"),
+        alpha=None if alpha is None else float(alpha),
+    )
+
+
+def _parse_resolve(raw: Mapping[str, Any]) -> ResolveParams:
+    return ResolveParams(lease_id=_require(raw, "lease_id", (str,), "params"))
+
+
+def _parse_fleet_plan(raw: Mapping[str, Any]) -> FleetPlanParams:
+    dry_run = _flag(raw, "dry_run")
+    max_actions = _opt(raw, "max_actions", (int,), "params")
+    return FleetPlanParams(
+        dry_run=dry_run,
+        max_actions=8 if max_actions is None else max_actions,
+    )
+
+
+def _parse_hello(raw: Mapping[str, Any]) -> HelloParams:
+    pipeline = _flag(raw, "pipeline")
+    max_inflight = _opt(raw, "max_inflight", (int,), "params")
+    return HelloParams(
+        codec=_opt(raw, "codec", (str,), "params") or "json",
+        pipeline=pipeline,
+        max_inflight=32 if max_inflight is None else max_inflight,
+    )
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One protocol verb: how its params parse and where it is served."""
+
+    name: str
+    #: the raw ``params`` object -> the verb's frozen params dataclass
+    parse: Callable[[Mapping[str, Any]], Params]
+    #: answered by the transport itself (``hello``), never by the service
+    transport: bool = False
+    #: the client replays it after a transport death (``allocate`` only
+    #: when it carries an idempotency token; the client checks that)
+    retry_safe: bool = False
+    #: decided in the daemon's admission-queue micro-batches.  Other
+    #: verbs are served inline: the service is synchronous anyway, and
+    #: the heavy ones (``reconfigure``, ``fleet_plan``) are rare
+    #: control-plane traffic next to ``allocate``.
+    queued: bool = False
+
+
+#: Every verb of the protocol, in the order ``UNKNOWN_OP`` lists them.
+#: An inline verb is served by the service method of the same name
+#: (:func:`repro.broker.server.dispatch`); a service without that method
+#: answers ``UNKNOWN_OP`` (a single broker has no ``shards``/``resolve``).
+OP_TABLE: Mapping[str, OpSpec] = {spec.name: spec for spec in (
+    OpSpec("allocate", _parse_allocate, retry_safe=True, queued=True),
+    OpSpec("renew", _parse_renew),
+    OpSpec("release", _parse_release),
+    OpSpec("reconfigure", _parse_reconfigure),
+    OpSpec("status", lambda _raw: StatusParams(), retry_safe=True),
+    OpSpec("shards", lambda _raw: ShardsParams(), retry_safe=True),
+    OpSpec("resolve", _parse_resolve, retry_safe=True),
+    # not retry-safe: a replayed pass would migrate the fleet twice
+    OpSpec("fleet_plan", _parse_fleet_plan),
+    OpSpec("fleet_status", lambda _raw: FleetStatusParams(), retry_safe=True),
+    OpSpec("hello", _parse_hello, transport=True),
+)}
+
+
 def parse_request(line: str | bytes) -> Request:
     """Parse one JSON wire line into a :class:`Request`.
 
@@ -449,76 +532,13 @@ def parse_request_obj(obj: Any) -> Request:
         raise ProtocolError(
             ErrorCode.BAD_REQUEST, "request.params must be an object"
         )
-    if op == "allocate":
-        alpha = _opt(raw, "alpha", (int, float), "params")
-        priority = _opt(raw, "priority", (int, float), "params")
-        params: Params = AllocateParams(
-            n_processes=_require(raw, "n", (int,), "params"),
-            ppn=_opt(raw, "ppn", (int,), "params"),
-            alpha=0.3 if alpha is None else float(alpha),
-            policy=_opt(raw, "policy", (str,), "params"),
-            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
-            token=_opt(raw, "token", (str,), "params"),
-            priority=0.0 if priority is None else float(priority),
-        )
-    elif op == "renew":
-        params = RenewParams(
-            lease_id=_require(raw, "lease_id", (str,), "params"),
-            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
-        )
-    elif op == "release":
-        params = ReleaseParams(
-            lease_id=_require(raw, "lease_id", (str,), "params")
-        )
-    elif op == "reconfigure":
-        alpha = _opt(raw, "alpha", (int, float), "params")
-        params = ReconfigureParams(
-            lease_id=_require(raw, "lease_id", (str,), "params"),
-            remaining_s=_opt(raw, "remaining_s", (int, float), "params"),
-            alpha=None if alpha is None else float(alpha),
-        )
-    elif op == "status":
-        params = StatusParams()
-    elif op == "shards":
-        params = ShardsParams()
-    elif op == "resolve":
-        params = ResolveParams(
-            lease_id=_require(raw, "lease_id", (str,), "params")
-        )
-    elif op == "fleet_plan":
-        dry_run = raw.get("dry_run", False)
-        if not isinstance(dry_run, bool):
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"params.dry_run must be a boolean, got {dry_run!r}",
-            )
-        max_actions = _opt(raw, "max_actions", (int,), "params")
-        params = FleetPlanParams(
-            dry_run=dry_run,
-            max_actions=8 if max_actions is None else max_actions,
-        )
-    elif op == "fleet_status":
-        params = FleetStatusParams()
-    elif op == "hello":
-        pipeline = raw.get("pipeline", False)
-        if not isinstance(pipeline, bool):
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"params.pipeline must be a boolean, got {pipeline!r}",
-            )
-        max_inflight = _opt(raw, "max_inflight", (int,), "params")
-        params = HelloParams(
-            codec=_opt(raw, "codec", (str,), "params") or "json",
-            pipeline=pipeline,
-            max_inflight=32 if max_inflight is None else max_inflight,
-        )
-    else:
+    spec = OP_TABLE.get(op)
+    if spec is None:
         raise ProtocolError(
             ErrorCode.UNKNOWN_OP,
-            f"unknown op {op!r}; choose from "
-            f"{OPS + FEDERATION_OPS + FLEET_OPS + TRANSPORT_OPS}",
+            f"unknown op {op!r}; choose from {tuple(OP_TABLE)}",
         )
-    return Request(id=req_id, op=op, params=params, v=version)
+    return Request(id=req_id, op=op, params=spec.parse(raw), v=version)
 
 
 # ----------------------------------------------------------------------

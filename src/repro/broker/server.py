@@ -19,8 +19,9 @@ Transport architecture:
   :meth:`~repro.broker.service.BrokerService.allocate_batch`.  When the
   queue is full the connection handler answers ``BUSY`` immediately —
   explicit backpressure instead of unbounded buffering;
-* ``renew``/``release``/``status`` are cheap bookkeeping and are served
-  inline by the connection handler;
+* every other verb is served inline by :func:`dispatch`, which calls
+  the service method named after the op (see
+  :data:`~repro.broker.protocol.OP_TABLE`);
 * a **sweeper task** reclaims expired leases every ``sweep_period_s`` so
   capacity held by dead clients returns to the pool even if nobody ever
   allocates again.
@@ -33,8 +34,10 @@ touching asyncio.
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import threading
+from dataclasses import fields
 from typing import Any
 
 from repro.broker.protocol import (
@@ -42,6 +45,7 @@ from repro.broker.protocol import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
+    OP_TABLE,
     PROTOCOL_VERSION,
     AllocateParams,
     ErrorCode,
@@ -58,6 +62,7 @@ from repro.broker.protocol import (
     parse_request_obj,
     response_obj,
 )
+from repro.broker.metrics import BrokerMetrics
 from repro.broker.service import BrokerService
 
 log = logging.getLogger(__name__)
@@ -355,17 +360,12 @@ class BrokerServer:
             else:
                 request = parse_request_obj(load_payload(raw, conn.codec))
         except ProtocolError as exc:
-            metrics = self.service.metrics
-            metrics.protocol_errors += 1
-            if len(raw) > MAX_LINE_BYTES:
-                metrics.oversized_requests += 1
-            elif conn.codec == "json" and not _parses_as_object(raw):
-                metrics.malformed_lines += 1
-            req_id = _best_effort_id(raw) if conn.codec == "json" else ""
+            req_id = count_parse_error(self.service.metrics, raw, conn.codec)
             conn.out += self._encode_payload(conn, error_response(req_id, exc))
             return
         self.service.metrics.record_request(request.op)
-        if request.op == "hello":
+        spec = OP_TABLE[request.op]
+        if spec.transport:
             # Answered in the *current* codec; the upgrade applies to
             # every message after the response.
             response, upgrade = self._hello(request)
@@ -373,7 +373,7 @@ class BrokerServer:
             if upgrade is not None:
                 conn.codec, conn.pipeline, conn.max_inflight = upgrade
             return
-        if conn.pipeline and request.op == "allocate":
+        if conn.pipeline and spec.queued:
             if len(pending) >= conn.max_inflight:
                 self.service.metrics.busy_rejected += 1
                 conn.out += self._encode_payload(conn, error_response(
@@ -436,7 +436,9 @@ class BrokerServer:
 
     async def _dispatch_safe(self, request: Request) -> Response:
         try:
-            return await self._dispatch(request)
+            if OP_TABLE[request.op].queued:
+                return await self._admit(request)
+            return dispatch(self.service, request)
         except ProtocolError as exc:
             return error_response(request.id, exc)
         except Exception as exc:  # noqa: BLE001 — daemon must not die
@@ -445,31 +447,6 @@ class BrokerServer:
                 request.id,
                 ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
             )
-
-    async def _dispatch(self, request: Request) -> Response:
-        if request.op == "allocate":
-            return await self._admit(request)
-        if request.op == "renew":
-            return ok_response(request.id, self.service.renew(request.params))
-        if request.op == "release":
-            return ok_response(request.id, self.service.release(request.params))
-        if request.op == "reconfigure":
-            # Served inline: replanning is heavier than renew/release but
-            # the service is synchronous anyway, and reconfigure traffic
-            # is orders of magnitude rarer than allocate.
-            return ok_response(
-                request.id, self.service.reconfigure(request.params)
-            )
-        if request.op == "fleet_plan":
-            # Inline like reconfigure: a pass replans every lease, but
-            # fleet traffic is a rare control-plane operation.
-            return ok_response(
-                request.id, self.service.fleet_plan(request.params)
-            )
-        if request.op == "fleet_status":
-            return ok_response(request.id, self.service.fleet_status())
-        assert request.op == "status"
-        return ok_response(request.id, self.service.status())
 
     async def _admit(self, request: Request) -> Response:
         """Queue an allocate request, or reject with ``BUSY`` when full."""
@@ -541,26 +518,45 @@ class BrokerServer:
                 )
 
 
-def _parses_as_object(line: bytes) -> bool:
-    """Whether the line is at least a JSON object (vs. raw garbage)."""
-    import json
+def dispatch(service: BrokerService, request: Request) -> Response:
+    """Serve one inline verb: the service method named after the op.
 
-    try:
-        return isinstance(json.loads(line), dict)
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-        return False
+    Queued (``allocate``) and transport (``hello``) verbs are handled by
+    each transport before this point.  A service without a method for
+    the op (a single broker asked for ``shards``) answers ``UNKNOWN_OP``.
+    """
+    handler = getattr(service, request.op, None)
+    if handler is None:
+        return error_response(request.id, ProtocolError(
+            ErrorCode.UNKNOWN_OP,
+            f"this daemon does not serve op {request.op!r}",
+        ))
+    params = request.params
+    return ok_response(
+        request.id, handler(params) if fields(params) else handler()
+    )
 
 
-def _best_effort_id(line: bytes) -> str:
-    """Salvage the request id from an unparseable line (for the reply)."""
-    import json
+def count_parse_error(metrics: BrokerMetrics, raw: bytes, codec: str) -> str:
+    """Count one unparseable request; return the id salvaged from it.
 
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
-            return str(obj["id"])
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-        pass
+    Every parse failure is a ``protocol_errors``; an oversized one is
+    also an ``oversized_requests``, and a JSON line that is not even an
+    object is a ``malformed_lines``.  Only JSON lines yield an id.
+    """
+    metrics.protocol_errors += 1
+    obj: Any = None
+    if codec == "json":
+        try:
+            obj = json.loads(raw)
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
+            pass
+    if len(raw) > MAX_LINE_BYTES:
+        metrics.oversized_requests += 1
+    elif codec == "json" and not isinstance(obj, dict):
+        metrics.malformed_lines += 1
+    if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
+        return str(obj["id"])
     return ""
 
 

@@ -1,11 +1,12 @@
 """Scripted in-memory transport — broker wire faults without sockets.
 
 :class:`ScriptedSocketFactory` plugs into ``BrokerClient(socket_factory=…)``
-and serves each request by calling :func:`dispatch_line` — a synchronous
-mirror of the daemon's parse → dispatch pipeline — against a real
-:class:`~repro.broker.service.BrokerService`.  A *script* of behaviors,
-consumed one per request (plus ``REFUSE`` consumed at connect), injects
-the transport failures that matter for client correctness:
+and serves each request by calling :func:`dispatch_line`, which runs the
+daemon's own parser and :func:`~repro.broker.server.dispatch`
+synchronously against a real :class:`~repro.broker.service.BrokerService`.
+A *script* of behaviors, consumed one per request (plus ``REFUSE``
+consumed at connect), injects the transport failures that matter for
+client correctness:
 
 ``DIE_BEFORE_SEND``
     the connection dies before the request reaches the server — the
@@ -22,21 +23,23 @@ Everything is deterministic: no threads, no ports, no timing.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.broker.protocol import (
+    OP_TABLE,
     PROTOCOL_VERSION,
     ErrorCode,
     HelloParams,
     ProtocolError,
     Request,
+    Response,
     encode_response,
     error_response,
     ok_response,
     parse_request,
 )
+from repro.broker.server import count_parse_error, dispatch
 from repro.broker.service import BrokerService
 
 #: per-request behaviors a script may contain
@@ -55,78 +58,62 @@ BEHAVIORS = frozenset(
 def dispatch_line(service: BrokerService, line: bytes) -> bytes:
     """One request line → one response line, synchronously.
 
-    Mirrors ``BrokerServer._handle_line`` + ``_dispatch`` without the
-    admission queue: allocate requests are decided as singleton batches.
-    Internal exceptions become ``INTERNAL`` error responses, exactly as
-    the daemon must never die on a request.
+    The daemon's request path without sockets or admission queue: the
+    same parser, parse-error accounting and
+    :func:`~repro.broker.server.dispatch` as
+    :class:`~repro.broker.server.BrokerServer`.  Only the two
+    transport-specific verbs differ: ``allocate`` is decided as a
+    singleton batch and ``hello`` is answered here.  Internal exceptions
+    become ``INTERNAL`` error responses, as the daemon must never die on
+    a request.
     """
     try:
         request = parse_request(line)
     except ProtocolError as exc:
-        service.metrics.protocol_errors += 1
-        return encode_response(error_response(_best_effort_id(line), exc))
+        req_id = count_parse_error(service.metrics, line, "json")
+        return encode_response(error_response(req_id, exc))
     service.metrics.record_request(request.op)
     try:
-        return encode_response(_dispatch(service, request))
+        response = _serve(service, request)
     except ProtocolError as exc:
-        return encode_response(error_response(request.id, exc))
+        response = error_response(request.id, exc)
     except Exception as exc:  # noqa: BLE001 — the daemon must not die
-        return encode_response(
-            error_response(
-                request.id,
-                ProtocolError(
-                    ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
-                ),
-            )
+        response = error_response(
+            request.id,
+            ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
         )
+    return encode_response(response)
 
 
-def _dispatch(service: BrokerService, request: Request):
-    if request.op == "hello":
-        # Transport-verb mirror: this in-memory transport speaks exactly
-        # one framing (JSON lines, strict alternation), so it answers
-        # hello honestly but never upgrades.
-        params = request.params
-        assert isinstance(params, HelloParams)
-        if params.codec != "json" or params.pipeline:
-            return error_response(request.id, ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                "chaos transport speaks JSON lines only",
-            ))
-        return ok_response(request.id, {
-            "codec": "json",
-            "pipeline": False,
-            "max_inflight": 1,
-            "codecs": ["json"],
-            "protocol_version": PROTOCOL_VERSION,
-        })
-    if request.op == "allocate":
+def _serve(service: BrokerService, request: Request) -> Response:
+    spec = OP_TABLE[request.op]
+    if spec.transport:
+        return _hello(request)
+    if spec.queued:
         outcome = service.allocate_batch([request.params])[0]
         if isinstance(outcome, ProtocolError):
             return error_response(request.id, outcome)
         return ok_response(request.id, outcome)
-    if request.op == "renew":
-        return ok_response(request.id, service.renew(request.params))
-    if request.op == "release":
-        return ok_response(request.id, service.release(request.params))
-    if request.op == "reconfigure":
-        return ok_response(request.id, service.reconfigure(request.params))
-    if request.op == "fleet_plan":
-        return ok_response(request.id, service.fleet_plan(request.params))
-    if request.op == "fleet_status":
-        return ok_response(request.id, service.fleet_status())
-    assert request.op == "status"
-    return ok_response(request.id, service.status())
+    return dispatch(service, request)
 
 
-def _best_effort_id(line: bytes) -> str:
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
-            return str(obj["id"])
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-        pass
-    return ""
+def _hello(request: Request) -> Response:
+    """This transport speaks exactly one framing (JSON lines, strict
+    alternation), so it answers ``hello`` honestly but never upgrades."""
+    params = request.params
+    assert isinstance(params, HelloParams)
+    if params.codec != "json" or params.pipeline:
+        return error_response(request.id, ProtocolError(
+            ErrorCode.BAD_REQUEST,
+            "chaos transport speaks JSON lines only",
+        ))
+    return ok_response(request.id, {
+        "codec": "json",
+        "pipeline": False,
+        "max_inflight": 1,
+        "codecs": ["json"],
+        "protocol_version": PROTOCOL_VERSION,
+    })
 
 
 class ScriptedSocketFactory:
@@ -138,11 +125,7 @@ class ScriptedSocketFactory:
     """
 
     def __init__(
-        self,
-        service: BrokerService,
-        script: Iterable[str] = (),
-        *,
-        dispatch: Callable[[BrokerService, bytes], bytes] = dispatch_line,
+        self, service: BrokerService, script: Iterable[str] = ()
     ) -> None:
         script = list(script)
         unknown = set(script) - BEHAVIORS
@@ -150,7 +133,6 @@ class ScriptedSocketFactory:
             raise ValueError(f"unknown behaviors in script: {sorted(unknown)}")
         self.service = service
         self.script: deque[str] = deque(script)
-        self.dispatch = dispatch
         #: observability for test assertions
         self.connections = 0
         self.dispatched = 0
@@ -187,7 +169,7 @@ class _FakeSocket:
             raise OSError("chaos: connection reset before send")
         # From here on the server HAS processed the request — any further
         # fault loses only the response, never the side effect.
-        response = self._factory.dispatch(self._factory.service, line)
+        response = dispatch_line(self._factory.service, line)
         self._factory.dispatched += 1
         if behavior == DIE_AFTER_SEND:
             self._responses.append(

@@ -13,8 +13,8 @@ the node space along the switch topology:
   the cross-shard two-phase reserve/commit for jobs no single shard can
   host;
 * :mod:`repro.federation.daemon` — the :class:`FederationDaemon`
-  transport (a :class:`~repro.broker.server.BrokerServer` plus the
-  ``shards``/``resolve`` verbs).
+  transport (a :class:`~repro.broker.server.BrokerServer` whose
+  service is the router, so it also answers ``shards``/``resolve``).
 
 See ``docs/FEDERATION.md`` for the architecture and consistency model.
 """

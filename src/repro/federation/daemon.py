@@ -1,31 +1,19 @@
-"""The federation daemon — the broker transport plus the router verbs.
+"""The federation daemon — the broker transport over a router.
 
 :class:`FederationDaemon` is a :class:`~repro.broker.server.BrokerServer`
 whose service is a :class:`~repro.federation.router.FederationRouter`.
-Every transport feature — JSON-lines and binary codecs, pipelining, the
-bounded admission queue, the micro-batcher, the sweeper — is inherited
-unchanged (the router duck-types the service surface those drive); the
-only addition is dispatch for the two router-specific verbs declared in
-``FEDERATION_OPS``:
-
-* ``shards``  — per-shard aggregates, scores, and liveness;
-* ``resolve`` — which shard owns a lease id.
-
-A single-broker daemon deliberately does *not* grow these branches; the
-PRO006/PRO007 lint rules hold this ladder, the protocol parser, and the
-client in sync.
+Every transport feature (JSON-lines and binary codecs, pipelining, the
+bounded admission queue, the micro-batcher, the sweeper) and the
+dispatch itself are inherited unchanged.  The router verbs ``shards``
+and ``resolve`` need no extra code: the shared
+:func:`~repro.broker.server.dispatch` serves each inline verb by the
+service method of the same name, and only the router has these two.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.broker.protocol import (
-    Request,
-    ResolveParams,
-    Response,
-    ok_response,
-)
 from repro.broker.server import BrokerServer
 from repro.federation.router import FederationRouter
 
@@ -35,16 +23,6 @@ class FederationDaemon(BrokerServer):
 
     def __init__(self, router: FederationRouter, **kwargs: Any) -> None:
         # The router duck-types the BrokerService surface the transport
-        # machinery drives (allocate_batch/renew/release/reconfigure/
-        # status/sweep_expired/metrics).
+        # drives (allocate_batch, the inline verbs, sweep_expired,
+        # metrics).
         super().__init__(router, **kwargs)  # type: ignore[arg-type]
-        self.router = router
-
-    async def _dispatch(self, request: Request) -> Response:
-        if request.op == "shards":
-            return ok_response(request.id, self.router.shards())
-        if request.op == "resolve":
-            params = request.params
-            assert isinstance(params, ResolveParams)
-            return ok_response(request.id, self.router.resolve(params))
-        return await super()._dispatch(request)

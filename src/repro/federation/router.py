@@ -8,8 +8,8 @@ the ``BrokerService`` surface the daemon drives — ``allocate_batch`` /
 ``renew`` / ``release`` / ``reconfigure`` / ``status`` /
 ``sweep_expired`` plus a ``metrics`` object — so the whole asyncio
 transport (admission queue, batcher, sweeper, pipelining) is reused
-unchanged; :class:`~repro.federation.daemon.FederationDaemon` only adds
-the two router verbs (``shards``, ``resolve``).
+unchanged.  The two router verbs (``shards``, ``resolve``) are served by
+the router's methods of the same name, like every other inline verb.
 
 Routing is O(shards), not O(nodes): the router consults cheap per-shard
 aggregates (total/free cores, *fleet-normalized* mean Equation-1/2
