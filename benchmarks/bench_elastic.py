@@ -16,35 +16,22 @@ root (also via ``make bench-json``):
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from benchmarks.conftest import run_once, scale
+from benchmarks.conftest import merge_record, run_once, scale
 from repro.broker.metrics import percentile
 from repro.core.policies import AllocationRequest
 from repro.core.weights import TradeOff
 from repro.elastic.cost import SnapshotMigrationCost
-from repro.elastic.experiment import run_elastic_comparison
 from repro.elastic.gate import PlanGate
 from repro.elastic.plan import ReconfigPlanner
+from repro.experiments.drifting import ELASTIC, run_comparison
 from repro.experiments.scenario import paper_scenario
 
 #: acceptance floor, full plan+gate decisions per second (60 nodes)
 MIN_PLANS_PER_S = 50.0
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
-
-
-def _merge_record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of BENCH_elastic.json."""
-    record = {}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            record = {}
-    record[section] = payload
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def comparison_params() -> dict:
@@ -100,7 +87,7 @@ def test_reconfigure_decision_latency(benchmark):
             "max": lat[-1] * 1e3,
         },
     }
-    _merge_record("decision", payload)
+    merge_record(RECORD_PATH, "decision", payload)
     print(f"\nreconfigure decisions: {plans_per_s:.0f}/s "
           f"(p50 {payload['decision_latency_ms']['p50']:.2f} ms, "
           f"{len(snapshot.nodes)} nodes) -> {RECORD_PATH.name}")
@@ -115,9 +102,11 @@ def test_static_vs_elastic_makespan(benchmark):
     seed = params.pop("seed")
 
     def compare():
-        return run_elastic_comparison(seed=seed, **params)
+        return run_comparison(seed=seed, config=ELASTIC, **params)
 
     cmp = run_once(benchmark, compare)
+    gain = cmp.gain_pct("elastic")
+    makespan_gain = cmp.gain_pct("elastic", metric="makespan_s")
     payload = {
         "scale": scale(),
         "seed": seed,
@@ -126,18 +115,16 @@ def test_static_vs_elastic_makespan(benchmark):
         "elastic_makespan_s": cmp.elastic.stats.makespan_s,
         "static_turnaround_s": cmp.static.stats.mean_turnaround_s,
         "elastic_turnaround_s": cmp.elastic.stats.mean_turnaround_s,
-        "turnaround_improvement_pct": cmp.turnaround_improvement_pct,
-        "makespan_improvement_pct": cmp.makespan_improvement_pct,
+        "turnaround_improvement_pct": gain,
+        "makespan_improvement_pct": makespan_gain,
         "reconfigs": cmp.elastic.reconfigs,
         "failed_migrations": cmp.elastic.failed_migrations,
     }
-    _merge_record("comparison", payload)
+    merge_record(RECORD_PATH, "comparison", payload)
     print(f"\nstatic vs elastic (seed {seed}): turnaround "
-          f"{cmp.turnaround_improvement_pct:+.1f}%, makespan "
-          f"{cmp.makespan_improvement_pct:+.1f}%, "
+          f"{gain:+.1f}%, makespan {makespan_gain:+.1f}%, "
           f"{cmp.elastic.reconfigs} reconfigs -> {RECORD_PATH.name}")
     assert cmp.elastic.failed_migrations == 0
-    assert cmp.turnaround_improvement_pct >= 0.0, (
-        f"elastic lost to static by "
-        f"{-cmp.turnaround_improvement_pct:.1f}% at seed {seed}"
+    assert gain >= 0.0, (
+        f"elastic lost to static by {-gain:.1f}% at seed {seed}"
     )

@@ -18,16 +18,15 @@ root (also via ``make bench-json``):
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 
-from benchmarks.conftest import run_once, scale
+from benchmarks.conftest import merge_record, run_once, scale
 from repro.broker.metrics import percentile
 from repro.broker.protocol import AllocateParams, FleetPlanParams
 from repro.broker.service import BrokerService
+from repro.experiments.drifting import FLEET, run_comparison
 from repro.experiments.scenario import paper_scenario
-from repro.fleet.experiment import run_fleet_comparison
 from repro.fleet.optimizer import (
     FleetJobState,
     FleetOptimizer,
@@ -40,18 +39,6 @@ from repro.monitor.snapshot import CachedSnapshotSource
 MIN_PASSES_PER_S = 20.0
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-
-
-def _merge_record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of BENCH_fleet.json."""
-    record = {}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            record = {}
-    record[section] = payload
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def comparison_params() -> dict:
@@ -111,7 +98,7 @@ def test_fleet_pass_rate(benchmark):
             "max": lat[-1] * 1e3,
         },
     }
-    _merge_record("pass_rate", payload)
+    merge_record(RECORD_PATH, "pass_rate", payload)
     print(f"\nfleet passes: {passes_per_s:.0f}/s "
           f"(p50 {payload['pass_latency_ms']['p50']:.2f} ms, "
           f"{len(snapshot.nodes)} nodes, 8 leases) -> {RECORD_PATH.name}")
@@ -171,7 +158,7 @@ def test_optimizer_never_degrades_objective(benchmark):
         "total_actions": total_actions,
         "worst_objective_gain": worst_gain,
     }
-    _merge_record("optimizer_invariant", payload)
+    merge_record(RECORD_PATH, "optimizer_invariant", payload)
     print(f"\noptimizer invariant: worst gain {worst_gain:+.6f} over "
           f"{n_snapshots} snapshots ({total_actions} actions) "
           f"-> {RECORD_PATH.name}")
@@ -186,9 +173,13 @@ def test_fleet_three_way_comparison(benchmark):
     seed = params.pop("seed")
 
     def compare():
-        return run_fleet_comparison(seed=seed, **params)
+        return run_comparison(seed=seed, config=FLEET, **params)
 
     cmp = run_once(benchmark, compare)
+    e_vs_s = cmp.gain_pct("elastic")
+    f_vs_s = cmp.gain_pct("fleet")
+    f_vs_e = cmp.gain_pct("fleet", over="elastic")
+    util_delta = cmp.fleet_utilization_delta
     payload = {
         "scale": scale(),
         "seed": seed,
@@ -196,24 +187,22 @@ def test_fleet_three_way_comparison(benchmark):
         "static_turnaround_s": cmp.static.stats.mean_turnaround_s,
         "elastic_turnaround_s": cmp.elastic.stats.mean_turnaround_s,
         "fleet_turnaround_s": cmp.fleet.stats.mean_turnaround_s,
-        "elastic_vs_static_pct": cmp.elastic_vs_static_pct,
-        "fleet_vs_static_pct": cmp.fleet_vs_static_pct,
-        "fleet_vs_elastic_pct": cmp.fleet_vs_elastic_pct,
-        "fleet_utilization_delta": cmp.fleet_utilization_delta,
+        "elastic_vs_static_pct": e_vs_s,
+        "fleet_vs_static_pct": f_vs_s,
+        "fleet_vs_elastic_pct": f_vs_e,
+        "fleet_utilization_delta": util_delta,
         "fleet_passes": cmp.fleet.fleet_passes,
         "fleet_actions": cmp.fleet.fleet_actions,
     }
-    _merge_record("comparison", payload)
+    merge_record(RECORD_PATH, "comparison", payload)
     print(f"\nfleet comparison (seed {seed}): fleet vs elastic "
-          f"{cmp.fleet_vs_elastic_pct:+.1f}%, vs static "
-          f"{cmp.fleet_vs_static_pct:+.1f}%, utilization "
-          f"{cmp.fleet_utilization_delta:+.3f} -> {RECORD_PATH.name}")
+          f"{f_vs_e:+.1f}%, vs static {f_vs_s:+.1f}%, utilization "
+          f"{util_delta:+.3f} -> {RECORD_PATH.name}")
     assert cmp.fleet.failed_migrations == 0
-    assert cmp.elastic_vs_static_pct > 0.0
-    assert cmp.fleet_vs_static_pct > 0.0
+    assert e_vs_s > 0.0
+    assert f_vs_s > 0.0
     # ties are exact 0.0 when no fleet action commits; never worse
-    assert cmp.fleet_vs_elastic_pct >= 0.0, (
-        f"fleet lost to per-job elastic by "
-        f"{-cmp.fleet_vs_elastic_pct:.2f}% at seed {seed}"
+    assert f_vs_e >= 0.0, (
+        f"fleet lost to per-job elastic by {-f_vs_e:.2f}% at seed {seed}"
     )
-    assert cmp.fleet_utilization_delta >= 0.0
+    assert util_delta >= 0.0

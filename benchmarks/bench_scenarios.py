@@ -19,13 +19,12 @@ Two measurements per registered scenario, recorded in
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import run_once, scale
+from benchmarks.conftest import merge_record, run_once, scale
 from repro.broker.metrics import percentile
 from repro.core.policies import PAPER_POLICIES
 from repro.scenarios import get_scenario, list_scenarios
@@ -39,18 +38,6 @@ MAX_QUALITY_RATIO = 1.0
 MAX_DECISION_MS = 50.0
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
-
-
-def _merge_record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of BENCH_scenarios.json."""
-    record = {}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            record = {}
-    record[section] = payload
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def matrix() -> list[str]:
@@ -85,7 +72,7 @@ def test_scenario_quality_matrix(benchmark):
         if peak > worst[1]:
             worst = (name, peak)
     payload["worst_ratio"] = {"scenario": worst[0], "ratio": worst[1]}
-    _merge_record("quality", payload)
+    merge_record(RECORD_PATH, "quality", payload)
     print(f"\nscenario quality: worst allocate/baseline Eq-4 ratio "
           f"{worst[1]:.3f} on {worst[0]!r} over {len(names)} scenario(s) "
           f"-> {RECORD_PATH.name}")
@@ -138,7 +125,7 @@ def test_scenario_decision_latency(benchmark):
             "scenario": worst[0], "p99_ms": worst[1]["p99_ms"],
         },
     }
-    _merge_record("decision_latency", payload)
+    merge_record(RECORD_PATH, "decision_latency", payload)
     print(f"\nscenario decision latency: worst p99 "
           f"{worst[1]['p99_ms']:.2f} ms on {worst[0]!r} "
           f"({worst[1]['nodes']} nodes) -> {RECORD_PATH.name}")

@@ -14,7 +14,9 @@ Table 2 share one grid, exactly as in the paper).
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,22 @@ def minife_grid():
 def run_once(benchmark, fn):
     """Record a single timed execution (these are minutes-long workloads)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def merge_record(path: Path, section: str, payload: dict) -> None:
+    """Read-modify-write one section of a BENCH_*.json record.
+
+    Each bench test owns one section, so tests of one file can run in
+    any subset and still leave the others' last results in place.
+    """
+    record = {}
+    if path.exists():
+        try:
+            record = json.loads(path.read_text())
+        except (json.JSONDecodeError, OSError):
+            record = {}
+    record[section] = payload
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")

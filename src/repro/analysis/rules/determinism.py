@@ -41,6 +41,8 @@ REPLAYABLE_PACKAGES = (
     "repro.des",
     "repro.chaos",
     "repro.elastic",
+    "repro.experiments",
+    "repro.fleet",
     "repro.simmpi",
     "repro.scheduler",
 )

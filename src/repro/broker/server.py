@@ -34,7 +34,6 @@ touching asyncio.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import threading
 from dataclasses import fields
@@ -542,15 +541,15 @@ def count_parse_error(metrics: BrokerMetrics, raw: bytes, codec: str) -> str:
 
     Every parse failure is a ``protocol_errors``; an oversized one is
     also an ``oversized_requests``, and a JSON line that is not even an
-    object is a ``malformed_lines``.  Only JSON lines yield an id.
+    object is a ``malformed_lines``.  Any payload that decodes to an
+    object with an ``id`` yields that id, whatever the codec, so a
+    pipelined client can match the error to its request.
     """
     metrics.protocol_errors += 1
-    obj: Any = None
-    if codec == "json":
-        try:
-            obj = json.loads(raw)
-        except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-            pass
+    try:
+        obj: Any = load_payload(raw, codec)
+    except ProtocolError:
+        obj = None
     if len(raw) > MAX_LINE_BYTES:
         metrics.oversized_requests += 1
     elif codec == "json" and not isinstance(obj, dict):

@@ -81,6 +81,9 @@ _TOKEN_MEMO_CAP = 4096
 #: how many (request, held-set) decisions the lineage-keyed memo holds
 _DECISION_MEMO_CAP = 4096
 
+#: sweeps of the batch order-swap improvement pass
+_BATCH_IMPROVE_PASSES = 2
+
 
 class _BatchEntry:
     """One successfully decided (not yet granted) batch member."""
@@ -159,7 +162,6 @@ class BrokerService:
         rng: np.random.Generator | None = None,
         memoize_decisions: bool = True,
         batch_improve: bool = True,
-        batch_improve_passes: int = 2,
         gate_config: GateConfig | None = None,
         migration_cost_config: MigrationCostConfig | None = None,
         quarantine: NodeQuarantine | None = None,
@@ -201,7 +203,6 @@ class BrokerService:
         self.memoize_decisions = memoize_decisions
         #: run the pairwise order-swap improvement pass over each batch
         self.batch_improve = batch_improve
-        self.batch_improve_passes = batch_improve_passes
         # lineage-keyed decision memo: key → (usable-node scope, outcome)
         self._decision_memo: OrderedDict[
             _DecisionKey, tuple[frozenset[str], Allocation | AllocationError]
@@ -382,7 +383,7 @@ class BrokerService:
         Equation-4 cost — the batch total can only go down, and the loop
         terminates because the total is bounded below.
         """
-        for _ in range(max(0, self.batch_improve_passes)):
+        for _ in range(_BATCH_IMPROVE_PASSES):
             improved = False
             for pos in range(len(solved) - 1):
                 a, b = solved[pos], solved[pos + 1]

@@ -2,10 +2,10 @@
 
 One object schedules faults across all three seams the stack exposes:
 
-* **store** faults (corrupt / vanish / freeze / skew / poison) through a
+* **store** faults (corrupt / freeze / skew / poison) through a
   :class:`~repro.chaos.store.ChaoticStore`, armed and disarmed at exact
   simulation times;
-* **daemon** faults (crash, pause) and **node** faults (outage, flap)
+* **daemon** faults (crash) and **node** faults (outage, flap)
   through the existing :class:`~repro.monitor.failures.FailureInjector`;
 * a :class:`FaultPlan` records everything injected, so a scenario report
   can print *what* chaos ran alongside *what* invariants held — and so a
@@ -126,14 +126,6 @@ class FaultInjector:
             "corrupt", pattern, at, duration_s, lambda: store.corrupt(pattern)
         )
 
-    def vanish_keys(
-        self, pattern: str, at: float, duration_s: float | None = None
-    ) -> None:
-        store = self._require_store()
-        self._arm(
-            "vanish", pattern, at, duration_s, lambda: store.vanish(pattern)
-        )
-
     def freeze_keys(
         self, pattern: str, at: float, duration_s: float | None = None
     ) -> None:
@@ -179,12 +171,6 @@ class FaultInjector:
     def crash_daemon(self, target, at: float, label: str = "") -> None:
         self.daemons.crash(target, at, label)
         self.plan.record(at, "crash", label or repr(target))
-
-    def pause_daemon(
-        self, target, at: float, duration_s: float, label: str = ""
-    ) -> None:
-        self.daemons.pause(target, at, duration_s, label)
-        self.plan.record(at, "pause", label or repr(target), duration_s)
 
     # -- node faults ----------------------------------------------------
     def node_down(

@@ -149,10 +149,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     elastic_cmp = None
     if args.elastic:
-        from repro.elastic.experiment import run_elastic_comparison
+        from repro.experiments.drifting import ELASTIC, run_comparison
 
-        elastic_cmp = run_elastic_comparison(
+        elastic_cmp = run_comparison(
             seed=args.seed,
+            config=ELASTIC,
             n_processes=args.procs,
             ppn=args.ppn,
         )
@@ -181,26 +182,36 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{name:>20s}  {run.time_s:9.3f}  {run.allocation.n_nodes:5d}")
     if elastic_cmp is not None:
         print()
-        _print_elastic_table(elastic_cmp)
+        _print_drifting_table(elastic_cmp)
     return 0
 
 
-def _print_elastic_table(cmp) -> None:
-    print(f"{'variant':>10s}  {'turnaround (s)':>14s}  {'makespan (s)':>12s}  "
-          f"{'reconfigs':>9s}  {'failed':>6s}")
-    for row in (cmp.static, cmp.elastic):
-        print(f"{row.variant:>10s}  {row.stats.mean_turnaround_s:14.1f}  "
-              f"{row.stats.makespan_s:12.1f}  {row.reconfigs:9d}  "
-              f"{row.failed_migrations:6d}")
-    print(f"elastic wins: turnaround {cmp.turnaround_improvement_pct:+.1f}%  "
-          f"makespan {cmp.makespan_improvement_pct:+.1f}%")
+def _print_drifting_table(cmp) -> None:
+    """One row per variant of a drifting-load comparison, then the gains."""
+    print(f"{'variant':>8s}  {'turnaround (s)':>14s}  {'makespan (s)':>12s}  "
+          f"{'wait (s)':>9s}  {'util':>5s}  {'reconfigs':>9s}  "
+          f"{'failed':>6s}  {'passes':>6s}  {'actions':>7s}")
+    for row in cmp.results:
+        print(f"{row.variant:>8s}  {row.stats.mean_turnaround_s:14.1f}  "
+              f"{row.stats.makespan_s:12.1f}  {row.stats.mean_wait_s:9.1f}  "
+              f"{row.utilization:5.3f}  {row.reconfigs:9d}  "
+              f"{row.failed_migrations:6d}  {row.fleet_passes:6d}  "
+              f"{row.fleet_actions:7d}")
+    gains = [
+        f"{name} vs {base} {cmp.gain_pct(name, base):+.1f}%"
+        for name, base in cmp.pairs
+    ]
+    if cmp.fleet is not None:
+        gains.append(f"utilization {cmp.fleet_utilization_delta:+.3f}")
+    print("turnaround gain: " + "  ".join(gains))
 
 
 def cmd_elastic(args: argparse.Namespace) -> int:
-    from repro.elastic.experiment import run_elastic_comparison
+    from repro.experiments.drifting import ELASTIC, run_comparison
 
-    cmp = run_elastic_comparison(
+    cmp = run_comparison(
         seed=args.seed,
+        config=ELASTIC,
         scenario=args.scenario,
         n_nodes=args.nodes,
         n_jobs=args.jobs,
@@ -216,7 +227,7 @@ def cmd_elastic(args: argparse.Namespace) -> int:
             out["elastic"]["events"] = list(cmp.elastic.reconfig_events)
         print(json.dumps(out, indent=2))
         return 0
-    _print_elastic_table(cmp)
+    _print_drifting_table(cmp)
     if args.events:
         for ev in cmp.elastic.reconfig_events:
             print(f"  t={ev['time']:8.0f}s lease={ev['lease_id']} "
@@ -226,10 +237,11 @@ def cmd_elastic(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.experiment import run_fleet_comparison
+    from repro.experiments.drifting import FLEET, run_comparison
 
-    cmp = run_fleet_comparison(
+    cmp = run_comparison(
         seed=args.seed,
+        config=FLEET,
         scenario=args.scenario,
         n_nodes=args.nodes,
         n_jobs=args.jobs,
@@ -243,17 +255,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(cmp.to_dict(), indent=2))
         return 0
-    print(f"{'variant':>8s}  {'turnaround (s)':>14s}  {'wait (s)':>9s}  "
-          f"{'util':>5s}  {'reconfigs':>9s}  {'passes':>6s}  {'actions':>7s}")
-    for row in (cmp.static, cmp.elastic, cmp.fleet):
-        print(f"{row.variant:>8s}  {row.stats.mean_turnaround_s:14.1f}  "
-              f"{row.stats.mean_wait_s:9.1f}  {row.utilization:5.3f}  "
-              f"{row.reconfigs:9d}  {row.fleet_passes:6d}  "
-              f"{row.fleet_actions:7d}")
-    print(f"elastic vs static {cmp.elastic_vs_static_pct:+.1f}%  "
-          f"fleet vs static {cmp.fleet_vs_static_pct:+.1f}%  "
-          f"fleet vs elastic {cmp.fleet_vs_elastic_pct:+.1f}%  "
-          f"utilization {cmp.fleet_utilization_delta:+.3f}")
+    _print_drifting_table(cmp)
     return 0
 
 

@@ -2,7 +2,6 @@
 
 from repro.core.arrays import (
     LoadState,
-    addition_cost_matrix,
     best_candidate_fast,
     generate_all_candidates_fast,
     load_state,
@@ -49,7 +48,6 @@ from repro.core.weights import (
 
 __all__ = [
     "LoadState",
-    "addition_cost_matrix",
     "best_candidate_fast",
     "generate_all_candidates_fast",
     "load_state",

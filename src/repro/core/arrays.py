@@ -280,19 +280,15 @@ class LoadState:
 
 
 def migrate_states(
-    old: ClusterSnapshot,
-    new: ClusterSnapshot,
-    delta: "SnapshotDelta",
-    *,
-    inplace: bool = True,
+    old: ClusterSnapshot, new: ClusterSnapshot, delta: "SnapshotDelta"
 ) -> int:
     """Carry every memoized :class:`LoadState` from ``old`` to ``new``.
 
     Each state is patched via :meth:`LoadState.apply_delta` and stored in
     ``new``'s derived cache under the same memo key, so the first
     decision against the patched snapshot is a cache hit instead of an
-    O(V²) rebuild.  Returns the number of states migrated.  With the
-    default ``inplace=True`` the old snapshot's states are consumed (see
+    O(V²) rebuild.  Returns the number of states migrated.  The old
+    snapshot's states are consumed (patched in place, see
     :meth:`LoadState.apply_delta`); callers keep serving only ``new``.
     """
     src = getattr(old, "_derived_cache", None)
@@ -307,7 +303,7 @@ def migrate_states(
             and key[0] == "load_state"
             and isinstance(value, LoadState)
         ):
-            dst[key] = value.apply_delta(new, delta, inplace=inplace)
+            dst[key] = value.apply_delta(new, delta, inplace=True)
             moved += 1
     return moved
 
@@ -424,18 +420,6 @@ def _build_state(
         pair_jj=pair_jj,
         raw_mat=raw_mat,
     )
-
-
-def addition_cost_matrix(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
-    """All |V|² addition costs at once: row ``v`` holds ``A_v(·)``.
-
-    Element-wise ``α·CL + β·NL`` is the same two-multiply-one-add IEEE
-    sequence the scalar reference uses, so entries are bit-identical to
-    :func:`repro.core.candidate.addition_costs`.
-    """
-    a = tradeoff.alpha * state.cl_vec[None, :] + tradeoff.beta * state.nl_mat
-    np.fill_diagonal(a, 0.0)  # A_v(v) = 0 per Algorithm 1 line 4
-    return a
 
 
 def generate_all_candidates_fast(
@@ -682,8 +666,10 @@ def _best_candidate_pruned(
     Two documented approximations versus the exhaustive path: Equation-4
     normalization runs over the surviving candidate set rather than all
     |V| candidates, and ties resolve by the deterministic
-    ``(total, start)`` key with no reference-dict fallback.  Both paths
-    coincide whenever ``keep >= V`` — the regression suite pins that.
+    ``(total, start)`` key with no reference-dict fallback.  With
+    ``keep >= V`` both paths score the same candidates, so the picks
+    share their Equation-4 total and differ only on a tie — the
+    regression suite pins that.
     """
     if n_processes <= 0:
         raise ValueError(f"n_processes must be positive, got {n_processes}")

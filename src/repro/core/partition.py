@@ -1,25 +1,18 @@
-"""Partitioned LoadState view — per-shard arrays over one snapshot.
+"""Partitioned LoadState view — per-shard aggregates over one snapshot.
 
 The federation router never runs Algorithms 1–2 over the whole fleet;
-that is exactly the per-decision ceiling sharding removes.  Two layers
-live here:
-
-* :meth:`PartitionedLoadState.state` — the *descent* arrays: one full
-  :class:`~repro.core.arrays.LoadState` per shard, normalized over its
-  own subtree (Equations 1–3 over O((V/N)²) pairs instead of O(V²)),
-  built lazily and memoized on the snapshot like every other state.
-  This is what each shard's :class:`~repro.broker.service.BrokerService`
-  decides placements with.
-* :meth:`PartitionedLoadState.aggregates` — the *scoring* inputs: per
-  shard, total/free cores, mean Equation-1 CL and mean Equation-2 NL
-  per subtree, and quarantine counts.  The CL/NL means come from one
-  **fleet-wide** Equation-1/2 pass (O(V + measured links), paid once
-  per instance and advanced in O(changed) across delta-patched
-  snapshots via :meth:`PartitionedLoadState.advance`) rather than from
-  the per-shard states: Equation 1/2 normalize *within* the ranked set,
-  so per-shard means would hover around 1.0 for every shard and carry
-  no cross-shard signal — the global pass makes subtree means directly
-  comparable.
+that is exactly the per-decision ceiling sharding removes.  Each shard's
+:class:`~repro.broker.service.BrokerService` decides placements over its
+own snapshot slice (:mod:`repro.monitor.slicing`).  What lives here is
+the router's *scoring* input, :meth:`PartitionedLoadState.aggregates`:
+per shard, total/free cores, mean Equation-1 CL and mean Equation-2 NL
+per subtree, and quarantine counts.  The CL/NL means come from one
+**fleet-wide** Equation-1/2 pass (O(V + measured links), paid once per
+instance and advanced in O(changed) across delta-patched snapshots via
+:meth:`PartitionedLoadState.advance`) rather than from per-shard
+states: Equation 1/2 normalize *within* the ranked set, so per-shard
+means would hover around 1.0 for every shard and carry no cross-shard
+signal — the global pass makes subtree means directly comparable.
 
 The fleet pass is kept as dense vectors (an attributes×nodes raw
 matrix, measured-pair latency/bandwidth-complement vectors) so both the
@@ -36,7 +29,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.arrays import LoadState, load_state
 from repro.core.attributes import ATTRIBUTES, Criterion
 from repro.core.effective_procs import (
     effective_proc_count,
@@ -85,7 +77,7 @@ class ShardAggregate:
 
 
 class PartitionedLoadState:
-    """Per-shard :class:`LoadState` composition over one snapshot.
+    """Per-shard Equation-1/2 aggregates over one snapshot.
 
     ``partition`` maps shard name → node names; nodes the snapshot does
     not know (or that are not live) simply drop out of that shard's
@@ -152,29 +144,11 @@ class PartitionedLoadState:
             self._live_set = frozenset(self._live_list)
         return self._live_list
 
-    @property
-    def shards(self) -> tuple[str, ...]:
-        return tuple(self.partition)
-
     def live_nodes(self, shard: str) -> tuple[str, ...]:
         """The shard's nodes that are present and live in the snapshot."""
         self._live()
         return tuple(
             n for n in self.partition[shard] if n in self._live_set
-        )
-
-    def state(self, shard: str) -> LoadState | None:
-        """The shard's descent LoadState, or ``None`` with no live node."""
-        nodes = self.live_nodes(shard)
-        if not nodes:
-            return None
-        return load_state(
-            self.snapshot,
-            nodes=nodes,
-            compute_weights=self._cw,
-            network_weights=self._nw,
-            ppn=self._ppn,
-            load_key=self._load_key,
         )
 
     # -- fleet-wide scoring pass ----------------------------------------

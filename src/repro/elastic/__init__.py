@@ -24,9 +24,10 @@ MPI-malleability line of work):
   mid-flight strands nothing and double-books nothing;
 * :mod:`repro.elastic.sim` — the DES integration: a malleable
   :class:`~repro.scheduler.scheduler.ClusterScheduler` whose running
-  jobs are periodically re-priced and re-placed;
-* :mod:`repro.elastic.experiment` — static vs. elastic on drifting
-  OU-process load traces, reproducible from one seed.
+  jobs are periodically re-priced and re-placed.
+
+The static-vs-elastic experiment on drifting OU-process load traces,
+reproducible from one seed, lives in :mod:`repro.experiments.drifting`.
 """
 
 from repro.elastic.cost import (

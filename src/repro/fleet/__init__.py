@@ -5,8 +5,9 @@ subsystem coordinates **all** malleable jobs plus the pending queue:
 speedup-curve utilities (:mod:`repro.fleet.utility`), a global
 objective search over joint expand / shrink / admit action sets
 (:mod:`repro.fleet.optimizer`), ordered atomic execution
-(:mod:`repro.fleet.executor`), and the DES consumer + three-way
-experiment (:mod:`repro.fleet.sim`, :mod:`repro.fleet.experiment`).
+(:mod:`repro.fleet.executor`), and the DES consumer
+(:mod:`repro.fleet.sim`); the three-way experiment lives in
+:mod:`repro.experiments.drifting`.
 See docs/FLEET.md.
 """
 

@@ -9,7 +9,7 @@ each sweep is the fleet-scale hot-path tax PR 6 removes.
 This module provides the three pieces of the incremental path:
 
 * :class:`SnapshotDelta` — the set of node views and link measurements
-  that moved beyond a threshold between two snapshots.
+  that changed between two snapshots.
 * :func:`compute_delta` — diff two snapshots into a delta, or report a
   *structural* change (nodes/pairs/livehosts appeared or vanished,
   static specs changed) that requires a full rebuild.
@@ -53,7 +53,7 @@ _SERIALS = itertools.count(1)
 
 @dataclass(frozen=True)
 class SnapshotDelta:
-    """Nodes and links that moved beyond threshold between two sweeps."""
+    """Nodes and links that changed between two sweeps."""
 
     #: timestamp of the newer snapshot the delta was computed against
     time: float
@@ -91,11 +91,6 @@ class SnapshotDelta:
         return frozenset(touched)
 
 
-def _moved(old: float, new: float, threshold: float) -> bool:
-    """Relative-change test: |new − old| > threshold · max(1, |old|)."""
-    return abs(new - old) > threshold * max(1.0, abs(old))
-
-
 #: dynamic NodeView attribute maps compared by :func:`_node_changed`
 _DYNAMIC_ATTRS = (
     "cpu_load",
@@ -105,17 +100,10 @@ _DYNAMIC_ATTRS = (
 )
 
 
-def _node_changed(old: NodeView, new: NodeView, threshold: float) -> bool:
-    if old.users != new.users:
-        return True
-    for attr in _DYNAMIC_ATTRS:
-        a, b = getattr(old, attr), getattr(new, attr)
-        if set(a) != set(b):
-            return True
-        for key, value in a.items():
-            if _moved(float(value), float(b[key]), threshold):
-                return True
-    return False
+def _node_changed(old: NodeView, new: NodeView) -> bool:
+    return old.users != new.users or any(
+        getattr(old, attr) != getattr(new, attr) for attr in _DYNAMIC_ATTRS
+    )
 
 
 def _static_changed(old: NodeView, new: NodeView) -> bool:
@@ -128,11 +116,7 @@ def _static_changed(old: NodeView, new: NodeView) -> bool:
 
 
 def compute_delta(
-    old: ClusterSnapshot,
-    new: ClusterSnapshot,
-    *,
-    node_threshold: float = 0.0,
-    link_threshold: float = 0.0,
+    old: ClusterSnapshot, new: ClusterSnapshot
 ) -> SnapshotDelta | None:
     """Diff two snapshots into a :class:`SnapshotDelta`.
 
@@ -140,11 +124,8 @@ def compute_delta(
     pairs appeared/disappeared, livehosts changed, or a static spec
     moved — in which case the caller must fall back to a full rebuild
     (incremental patching assumes fixed topology and index order).
-
-    Thresholds are relative (``|Δ| > t·max(1, |old|)``); ``0.0`` means
-    any change at all is emitted.  Sub-threshold drift is deliberately
-    *dropped*: the served view stays within the threshold band of the
-    truth, which is the monitor's freshness contract at fleet scale.
+    Every changed reading is emitted, so the patched snapshot equals
+    the rebuild exactly.
     """
     if set(old.nodes) != set(new.nodes):
         return None
@@ -164,17 +145,17 @@ def compute_delta(
         fresh = new.nodes[name]
         if _static_changed(view, fresh):
             return None
-        if _node_changed(view, fresh, node_threshold):
+        if _node_changed(view, fresh):
             nodes[name] = fresh
     bandwidth = {
         k: new.bandwidth_mbs[k]
         for k, v in old.bandwidth_mbs.items()
-        if _moved(float(v), float(new.bandwidth_mbs[k]), link_threshold)
+        if v != new.bandwidth_mbs[k]
     }
     latency = {
         k: new.latency_us[k]
         for k, v in old.latency_us.items()
-        if _moved(float(v), float(new.latency_us[k]), link_threshold)
+        if v != new.latency_us[k]
     }
     return SnapshotDelta(
         time=new.time,
@@ -252,23 +233,18 @@ def snapshot_step_delta(
 
 
 def apply_snapshot_delta(
-    old: ClusterSnapshot,
-    delta: SnapshotDelta,
-    *,
-    migrate: bool = True,
-    inplace: bool = True,
+    old: ClusterSnapshot, delta: SnapshotDelta
 ) -> ClusterSnapshot:
     """Patch ``old`` into a new snapshot and migrate its cached states.
 
     The returned snapshot is a fresh immutable object whose maps share
-    unchanged entries with ``old``.  With ``migrate`` (default), every
-    ``LoadState`` memoized on ``old`` is carried over via
-    ``LoadState.apply_delta`` — O(changed nodes + measured links)
-    instead of the O(V²) ``_build_state`` pair scan.  ``inplace``
-    forwards to ``apply_delta``: the migrated states may reuse (and
-    mutate) the old states' array buffers, so the *old snapshot must be
-    dropped* after this call — exactly what
-    :class:`~repro.monitor.snapshot.CachedSnapshotSource` does.
+    unchanged entries with ``old``.  Every ``LoadState`` memoized on
+    ``old`` is carried over via ``LoadState.apply_delta`` — O(changed
+    nodes + measured links) instead of the O(V²) ``_build_state`` pair
+    scan.  The migrated states reuse (and mutate) the old states' array
+    buffers, so the *old snapshot must be dropped* after this call —
+    exactly what :class:`~repro.monitor.snapshot.CachedSnapshotSource`
+    does.
     """
     patched = ClusterSnapshot(
         time=delta.time,
@@ -282,10 +258,9 @@ def apply_snapshot_delta(
     cache = derived_cache(patched)
     cache[_LINEAGE_KEY] = (serial, generation + 1, delta.affected_nodes())
     cache[_STEP_DELTA_KEY] = delta
-    if migrate:
-        # Local import: arrays.py imports the snapshot module at import
-        # time, so the dependency must stay one-way at module load.
-        from repro.core.arrays import migrate_states
+    # Local import: arrays.py imports the snapshot module at import
+    # time, so the dependency must stay one-way at module load.
+    from repro.core.arrays import migrate_states
 
-        migrate_states(old, patched, delta, inplace=inplace)
+    migrate_states(old, patched, delta)
     return patched

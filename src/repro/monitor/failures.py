@@ -18,18 +18,12 @@ class _Crashable(Protocol):
     def crash(self) -> None: ...
 
 
-class _Pausable(Protocol):
-    def crash(self) -> None: ...
-    def start(self) -> None: ...
-
-
 @dataclass
 class FailureLog:
     """Record of injected failures, for assertions in tests."""
 
     node_outages: list[tuple[float, str, float]] = field(default_factory=list)
     crashes: list[tuple[float, str]] = field(default_factory=list)
-    pauses: list[tuple[float, str, float]] = field(default_factory=list)
 
 
 class FailureInjector:
@@ -70,35 +64,6 @@ class FailureInjector:
             )
 
         self._engine.schedule_at(at, do)
-
-    def pause(
-        self,
-        target: _Pausable,
-        at: float,
-        duration: float,
-        label: str = "",
-    ) -> None:
-        """Stop a daemon at ``at`` and restart it ``duration`` later.
-
-        Models an operator-restarted (or supervisor-restarted) process:
-        the store record it owns goes stale during the gap, then fresh
-        data resumes — the classic source of staleness storms.
-        """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-
-        def stop() -> None:
-            target.crash()
-            self.log.pauses.append(
-                (
-                    self._engine.now,
-                    label or getattr(target, "name", repr(target)),
-                    duration,
-                )
-            )
-
-        self._engine.schedule_at(at, stop)
-        self._engine.schedule_at(at + duration, target.start)
 
     def flap_node(
         self,

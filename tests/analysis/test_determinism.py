@@ -55,9 +55,9 @@ class TestClockRules:
         assert rules_of(findings) == ["DET001"]
 
     def test_clock_call_outside_replayable_packages_allowed(self, lint):
-        # The experiments layer may time real executions.
+        # The broker serves real clients and may time real requests.
         findings = lint({
-            "src/repro/experiments/timing.py": """
+            "src/repro/broker/timing.py": """
                 import time
 
                 def wall():
@@ -65,6 +65,23 @@ class TestClockRules:
             """,
         })
         assert findings == []
+
+    def test_drifting_experiment_and_fleet_are_replayable(self, lint):
+        # Both run on the DES clock and must replay from a seed.
+        findings = lint({
+            "src/repro/experiments/drifting.py": """
+                import time
+
+                def wall():
+                    return time.time()
+            """,
+            "src/repro/fleet/sim.py": """
+                import random
+
+                JITTER = random.random()
+            """,
+        })
+        assert sorted(rules_of(findings)) == ["DET001", "DET004"]
 
     def test_datetime_now_flagged(self, lint):
         findings = lint({

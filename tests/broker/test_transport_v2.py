@@ -137,6 +137,18 @@ class TestPipelinedBursts:
         assert len(results) == 10
         assert all(not isinstance(r, BrokerError) for r in results)
 
+    def test_binary_burst_matches_bad_request_to_its_request(self, daemon):
+        # A framed request that decodes but fails validation must keep
+        # its id, or the burst cannot match the error and times out.
+        with BrokerClient(port=daemon.port, timeout_s=3.0) as client:
+            client.hello(codec="binary", pipeline=True, max_inflight=4)
+            results = client.call_many(
+                "fleet_plan", [{"dry_run": True}, {"max_actions": 0}]
+            )
+        assert not isinstance(results[0], BrokerError)
+        assert isinstance(results[1], BrokerError)
+        assert results[1].code == "BAD_REQUEST"
+
     def test_empty_burst(self, client):
         client.hello(pipeline=True)
         assert client.call_many("status", []) == []

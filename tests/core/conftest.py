@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.monitor.snapshot import ClusterSnapshot, NodeView
@@ -68,6 +69,49 @@ def make_snapshot(
         bandwidth_mbs=bw,
         latency_us=lat,
         peak_bandwidth_mbs={p: peak for p in pairs},
+        livehosts=tuple(names),
+    )
+
+
+def ring_fleet(n: int, seed: int) -> ClusterSnapshot:
+    """A fleet-scale snapshot: ``n`` nodes, 16 per switch, sparse links.
+
+    Each node measures its two ring successors (degree 4), the shape a
+    fleet-scale monitor produces; every other pair is unmeasured and
+    priced by the allocator's missing-measurement penalty.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"n{i:05d}" for i in range(n)]
+    views = {}
+    for i, name in enumerate(names):
+        load = float(rng.uniform(0.0, 10.0))
+        views[name] = NodeView(
+            name=name,
+            cores=12,
+            frequency_ghz=2.6,
+            memory_gb=64.0,
+            users=int(rng.integers(0, 3)),
+            cpu_load=flat(load),
+            cpu_util=flat(min(100.0, load * 8.0)),
+            flow_rate_mbs=flat(float(rng.uniform(0.0, 60.0))),
+            available_memory_gb=flat(float(rng.uniform(8.0, 60.0))),
+            switch=f"s{i // 16}",
+        )
+    bandwidth: dict[tuple[str, str], float] = {}
+    latency: dict[tuple[str, str], float] = {}
+    for i in range(n):
+        for step in (1, 2):
+            a, b = sorted((names[i], names[(i + step) % n]))
+            if a == b or (a, b) in bandwidth:
+                continue
+            bandwidth[(a, b)] = float(125.0 * rng.uniform(0.5, 1.0))
+            latency[(a, b)] = float(rng.uniform(40.0, 120.0))
+    return ClusterSnapshot(
+        time=0.0,
+        nodes=views,
+        bandwidth_mbs=bandwidth,
+        latency_us=latency,
+        peak_bandwidth_mbs={k: 125.0 for k in bandwidth},
         livehosts=tuple(names),
     )
 

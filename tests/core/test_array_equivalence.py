@@ -17,7 +17,15 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.arrays import load_state
+from repro.core import arrays
+from repro.core.arrays import (
+    _best_candidate_pruned,
+    _score_arrays,
+    _seed_lower_bounds,
+    best_candidate_fast,
+    generate_all_candidates_fast,
+    load_state,
+)
 from repro.core.policies import (
     PAPER_POLICIES,
     AllocationRequest,
@@ -25,7 +33,10 @@ from repro.core.policies import (
     NetworkLoadAwarePolicy,
 )
 from repro.core.weights import TradeOff
+from repro.experiments.scenario import paper_scenario
 from repro.monitor.snapshot import ClusterSnapshot, NodeView
+
+from tests.core.conftest import ring_fleet
 
 
 def _stats(rng: np.random.Generator, scale: float) -> dict[str, float]:
@@ -195,6 +206,87 @@ class TestNetworkLoadAwareEquivalence:
         assert s3 is not s1
         s4 = load_state(dataclasses.replace(snap), nodes=nodes, ppn=4)
         assert s4 is not s1  # fresh snapshot → fresh cache
+
+
+@pytest.fixture(scope="module")
+def paper_snapshot() -> ClusterSnapshot:
+    """The warmed 60-node §5 tree."""
+    return paper_scenario(seed=9, warmup_s=600.0).snapshot()
+
+
+class TestSeedPrunedPath:
+    """The seed-pruned Algorithm 1 every broker above 512 nodes runs."""
+
+    @pytest.mark.parametrize("n_processes", [1, 8, 32, 96])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_keeping_every_seed_is_the_exhaustive_pick(
+        self, paper_snapshot, n_processes, alpha
+    ):
+        state = load_state(paper_snapshot)
+        tradeoff = TradeOff.from_alpha(alpha)
+        exhaustive = best_candidate_fast(state, n_processes, tradeoff)
+        pruned = _best_candidate_pruned(
+            state, n_processes, tradeoff, keep=len(state.nodes)
+        )
+        candidates = [
+            c
+            for c in generate_all_candidates_fast(
+                state, n_processes, tradeoff
+            )
+            if c.nodes
+        ]
+        totals = _score_arrays(state, candidates, tradeoff)[-1]
+        # Keeping every seed scores the exhaustive candidates, so the
+        # pick costs the same and differs only on an Equation-4 tie,
+        # which the exhaustive path re-ranks on the reference dicts (the
+        # idle tree has exact ties from 32 processes up; below, none).
+        assert pruned.total == pytest.approx(exhaustive.total, rel=1e-12)
+        best = float(totals.min())
+        tol = arrays._TIE_RTOL * max(1.0, abs(best))
+        tied = [c for c, t in zip(candidates, totals) if t - best <= tol]
+        assert pruned.candidate in tied
+        assert (len(tied) > 1) == (n_processes >= 32)
+        if len(tied) == 1:
+            assert pruned.candidate == exhaustive.candidate
+
+    def test_seed_bounds_are_the_cheapest_first_addition(
+        self, paper_snapshot
+    ):
+        state = load_state(paper_snapshot)
+        tradeoff = TradeOff.from_alpha(0.5)
+        bounds = _seed_lower_bounds(state, tradeoff)
+        v = len(state.nodes)
+        for seed in range(v):
+            assert bounds[seed] == min(
+                tradeoff.alpha * state.cl_vec[u]
+                + tradeoff.beta * state.nl_mat[seed, u]
+                for u in range(v)
+                if u != seed
+            )
+        assert _seed_lower_bounds(state, tradeoff) is bounds  # memoized
+
+    def test_default_policy_grant_on_a_600_node_fleet(self, monkeypatch):
+        snap = ring_fleet(640, seed=3)
+        calls = []
+        pruned = arrays._best_candidate_pruned
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return pruned(*args, **kwargs)
+
+        monkeypatch.setattr(arrays, "_best_candidate_pruned", spy)
+        request = AllocationRequest(
+            n_processes=64, ppn=4, tradeoff=TradeOff.from_alpha(0.5)
+        )
+        grant = NetworkLoadAwarePolicy().allocate(snap, request)
+        assert calls == [arrays.PRUNE_KEEP_DEFAULT]  # the pruned path ran
+        assert len(set(grant.nodes)) == len(grant.nodes)
+        assert set(grant.nodes) <= set(snap.livehosts)
+        assert sum(grant.procs.values()) == 64
+        state = load_state(snap, ppn=4)
+        for node in grant.nodes:
+            assert 1 <= grant.procs[node] <= state.pc[node] <= 4
+        assert grant.metadata["total_cost"] >= 0.0
 
 
 class TestOtherPaperPoliciesDeterministic:

@@ -14,15 +14,14 @@ in seconds; the full-size comparison is ``python -m repro elastic`` /
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.elastic.experiment import (
-    ElasticExperimentConfig,
-    run_elastic_comparison,
-    run_variant,
-)
+from repro.experiments.drifting import ELASTIC, run_comparison, run_variant
 
-SMALL = ElasticExperimentConfig(
+SMALL = replace(
+    ELASTIC,
     n_nodes=8,
     nodes_per_switch=4,
     n_jobs=3,
@@ -35,7 +34,7 @@ SMALL = ElasticExperimentConfig(
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_elastic_comparison(seed=1, config=SMALL)
+    return run_comparison(seed=1, config=SMALL)
 
 
 class TestElasticBeatsStatic:
@@ -45,7 +44,7 @@ class TestElasticBeatsStatic:
         assert elastic < static, (
             f"elastic {elastic:.0f}s should beat static {static:.0f}s"
         )
-        assert comparison.turnaround_improvement_pct > 0
+        assert comparison.gain_pct("elastic") > 0
 
     def test_elastic_actually_reconfigured(self, comparison):
         assert comparison.elastic.reconfigs >= 1
@@ -75,7 +74,7 @@ class TestElasticBeatsStatic:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self, comparison):
-        again = run_elastic_comparison(seed=1, config=SMALL)
+        again = run_comparison(seed=1, config=SMALL)
         assert again.elastic.stats.mean_turnaround_s == pytest.approx(
             comparison.elastic.stats.mean_turnaround_s
         )
@@ -91,7 +90,7 @@ class TestInjectedMigrationFailures:
         import dataclasses
 
         cfg = dataclasses.replace(SMALL, migration_failure_rate=1.0)
-        result = run_variant(reconfigure=True, seed=1, config=cfg)
+        result = run_variant("elastic", seed=1, config=cfg)
         # plans were accepted and every one of them failed...
         assert result.failed_migrations >= 1
         assert result.reconfigs == 0
@@ -108,6 +107,6 @@ class TestInjectedMigrationFailures:
         import dataclasses
 
         cfg = dataclasses.replace(SMALL, migration_failure_rate=0.5)
-        result = run_variant(reconfigure=True, seed=1, config=cfg)
+        result = run_variant("elastic", seed=1, config=cfg)
         assert result.stats.n_jobs == SMALL.n_jobs
         assert result.reconfigs + result.failed_migrations >= 1

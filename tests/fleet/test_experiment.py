@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet.experiment import (
-    FleetExperimentConfig,
-    run_fleet_comparison,
+from repro.experiments.drifting import (
+    FLEET,
+    DriftingConfig,
+    run_comparison,
 )
 
 #: small enough for test time, oversubscribed enough to queue jobs
@@ -21,7 +22,7 @@ TINY = dict(n_jobs=3, warmup_s=600.0, app_timesteps=6000)
 
 @pytest.fixture(scope="module")
 def cmp():
-    return run_fleet_comparison(seed=2, **TINY)
+    return run_comparison(seed=2, config=FLEET, **TINY)
 
 
 class TestComparison:
@@ -32,9 +33,9 @@ class TestComparison:
             assert 0.0 <= variant.utilization <= 1.0
 
     def test_never_worse_ordering(self, cmp):
-        assert cmp.elastic_vs_static_pct >= 0.0
-        assert cmp.fleet_vs_static_pct >= 0.0
-        assert cmp.fleet_vs_elastic_pct >= 0.0
+        assert cmp.gain_pct("elastic") >= 0.0
+        assert cmp.gain_pct("fleet") >= 0.0
+        assert cmp.gain_pct("fleet", over="elastic") >= 0.0
         assert cmp.fleet_utilization_delta >= 0.0
         assert cmp.fleet.failed_migrations == 0
 
@@ -53,18 +54,18 @@ class TestComparison:
         assert d["fleet"]["fleet_passes"] == cmp.fleet.fleet_passes
 
     def test_deterministic_replay(self, cmp):
-        again = run_fleet_comparison(seed=2, **TINY)
+        again = run_comparison(seed=2, config=FLEET, **TINY)
         assert again.to_dict() == cmp.to_dict()
 
 
 class TestConfig:
     def test_rejects_degenerate_worlds(self):
         with pytest.raises(ValueError):
-            FleetExperimentConfig(n_nodes=1)
+            DriftingConfig(n_nodes=1)
         with pytest.raises(ValueError):
-            FleetExperimentConfig(n_jobs=0)
+            DriftingConfig(n_jobs=0)
 
     def test_overrides_reach_the_config(self):
         # unknown override names must fail loudly, not silently no-op
         with pytest.raises(TypeError):
-            run_fleet_comparison(seed=0, no_such_knob=1)
+            run_comparison(seed=0, config=FLEET, no_such_knob=1)

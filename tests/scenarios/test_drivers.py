@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elastic.experiment import drifting_world, submit_offsets
+from repro.experiments.drifting import drifting_world, submit_offsets
 from repro.scenarios import get_scenario
 from repro.util.rng import RngStream
 from repro.workload.generator import WorkloadConfig
